@@ -50,6 +50,7 @@ SimResult RunParallelDetailed(const Application& app, const GpuConfig& cfg,
     std::uint64_t replayed_cycles = 0;
     std::uint64_t replayed_instrs = 0;
   } memo_stats;
+  MemoKey memo_key;
   if (memo_on) {
     model.metrics().Register("memo", "hits", &memo_stats.hits);
     model.metrics().Register("memo", "misses", &memo_stats.misses);
@@ -57,12 +58,10 @@ SimResult RunParallelDetailed(const Application& app, const GpuConfig& cfg,
                              &memo_stats.replayed_cycles);
     model.metrics().Register("memo", "replayed_instrs",
                              &memo_stats.replayed_instrs);
+    memo_key.cfg_hash = cfg.CanonicalHash();
+    memo_key.context = FingerprintApplication(app).Fold();
+    memo_key.level = static_cast<std::uint8_t>(level);
   }
-  MemoKey memo_key;
-  memo_key.cfg_hash = cfg.CanonicalHash();
-  memo_key.context = FingerprintApplication(app).Fold();
-  memo_key.level = static_cast<std::uint8_t>(level);
-  std::map<const KernelTrace*, Fingerprint> fp_of;
   std::map<std::string, std::uint64_t> launch_before;
   std::map<std::string, std::uint64_t> replayed_deltas;
 
@@ -119,10 +118,7 @@ SimResult RunParallelDetailed(const Application& app, const GpuConfig& cfg,
     while (kidx < app.kernels.size()) {
       const KernelTrace& kernel = *app.kernels[kidx];
       if (memo_on) {
-        const auto [fit, inserted] =
-            fp_of.emplace(&kernel, Fingerprint{});
-        if (inserted) fit->second = FingerprintKernel(kernel);
-        memo_key.kernel_fp = fit->second;
+        memo_key.kernel_fp = FingerprintKernel(kernel);
         if (auto rec = memo_cache.TryReplay(memo_key)) {
           // Converged launch: advance the clock past it without touching
           // the model, exactly as the serial memo driver does.

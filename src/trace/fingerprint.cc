@@ -1,6 +1,7 @@
 #include "trace/fingerprint.h"
 
 #include <cstdio>
+#include <mutex>
 
 #include "common/bitutil.h"
 
@@ -66,9 +67,7 @@ void MixInstr(FpHasher& h, const CompactInstr& ins, const LaneAddrs& addrs) {
   for (const Addr a : addrs) h.Mix(a);
 }
 
-}  // namespace
-
-Fingerprint FingerprintKernel(const KernelTrace& kernel) {
+Fingerprint HashKernel(const KernelTrace& kernel) {
   FpHasher h;
   const KernelInfo& info = kernel.info();
   h.MixString(info.name);
@@ -90,6 +89,22 @@ Fingerprint FingerprintKernel(const KernelTrace& kernel) {
     }
   }
   return h.Digest();
+}
+
+}  // namespace
+
+Fingerprint FingerprintKernel(const KernelTrace& kernel) {
+  // A throwing first computation leaves the flag unset, so the next call
+  // retries instead of reading an empty cache.
+  std::call_once(kernel.fp_once_, [&kernel] {
+    const Fingerprint fp = HashKernel(kernel);
+    kernel.fp_hi_ = fp.hi;
+    kernel.fp_lo_ = fp.lo;
+  });
+  Fingerprint fp;
+  fp.hi = kernel.fp_hi_;
+  fp.lo = kernel.fp_lo_;
+  return fp;
 }
 
 Fingerprint FingerprintApplication(const Application& app) {

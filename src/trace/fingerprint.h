@@ -53,12 +53,15 @@ class FpHasher {
 
 /// Structural fingerprint of one kernel: KernelInfo (including the id the
 /// pre-pass profile is keyed by) plus every CTA variant's warp streams.
-/// Cost is proportional to the variant storage, not the grid size.
+/// The first call on a kernel costs time proportional to its variant
+/// storage (not the grid size) and caches the result on the kernel; later
+/// calls are O(1). Thread-safe, including racing first calls.
 Fingerprint FingerprintKernel(const KernelTrace& kernel);
 
 /// Fingerprint of a whole application: the kernel fingerprints chained in
-/// launch order. Deliberately excludes the display name, so two apps with
-/// identical launch sequences share pre-pass profile cache entries.
+/// launch order, O(launches) once each distinct kernel is fingerprinted.
+/// Deliberately excludes the display name, so two apps with identical
+/// launch sequences share pre-pass profile cache entries.
 Fingerprint FingerprintApplication(const Application& app);
 
 }  // namespace swiftsim

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -11,6 +12,8 @@
 #include "trace/instr.h"
 
 namespace swiftsim {
+
+struct Fingerprint;  // trace/fingerprint.h
 
 /// Static launch parameters of one kernel.
 struct KernelInfo {
@@ -70,7 +73,8 @@ class TraceSource {
 };
 
 /// Fully materialized kernel trace with CTA-variant sharing: CTA `i` is
-/// backed by variant `i % variants.size()`.
+/// backed by variant `i % variants.size()`. Immutable after construction,
+/// so launches (`RepeatLaunches`) and threads share one object freely.
 class KernelTrace : public TraceSource {
  public:
   KernelTrace(KernelInfo info, std::vector<CtaTrace> variants);
@@ -92,9 +96,17 @@ class KernelTrace : public TraceSource {
   std::uint64_t TraceBytes() const;
 
  private:
+  friend Fingerprint FingerprintKernel(const KernelTrace& kernel);
+
   KernelInfo info_;
   std::vector<CtaTrace> variants_;
   std::uint64_t total_instrs_ = 0;  // sum over the grid, variant-shared
+  // Structural fingerprint, filled by the first FingerprintKernel call
+  // (never here at construction, so building a trace does not pay for
+  // hashing it). The trace never changes afterwards, so it stays valid.
+  mutable std::once_flag fp_once_;
+  mutable std::uint64_t fp_hi_ = 0;
+  mutable std::uint64_t fp_lo_ = 0;
 };
 
 /// A named, loaded application: a sequence of kernels launched in order.

@@ -10,9 +10,11 @@
 // bug in the encoding, not a tolerance to widen.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "config/gpu_config.h"
@@ -99,6 +101,51 @@ TEST(TraceCompact, GoldenFingerprintsAndInstrCounts) {
     EXPECT_EQ(FingerprintApplication(app).ToHex(), g.fingerprint) << g.app;
     EXPECT_EQ(app.TotalInstrs(), g.instrs) << g.app;
   }
+}
+
+TEST(TraceCompact, RacingFirstFingerprintsMatchGolden) {
+  // Kernels are shared across service lanes and pool workers, so the
+  // first fingerprint of a fresh kernel may be requested by several
+  // threads at once; every caller must see the one golden value.
+  constexpr int kThreads = 8;
+  const Golden& g = Goldens().front();
+  const Fingerprint kernel_ref =
+      FingerprintKernel(*BuildWorkload(g.app, TestScale()).kernels.front());
+  const Application app = BuildWorkload(g.app, TestScale());
+  std::vector<std::string> app_hex(kThreads);
+  std::vector<Fingerprint> kernel_fp(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      // Half the threads enter through the kernel, half through the app.
+      if (t % 2 == 0) kernel_fp[t] = FingerprintKernel(*app.kernels.front());
+      app_hex[t] = FingerprintApplication(app).ToHex();
+      if (t % 2 != 0) kernel_fp[t] = FingerprintKernel(*app.kernels.front());
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(app_hex[t], g.fingerprint) << "thread " << t;
+    EXPECT_EQ(kernel_fp[t], kernel_ref) << "thread " << t;
+  }
+}
+
+TEST(TraceCompact, RepeatedLaunchFingerprintMatchesIndependentCopy) {
+  // RepeatLaunches shares kernel objects, so all but the first launch of
+  // each kernel read its cached fingerprint. The chain over kernels whose
+  // fingerprints were already cached must equal the chain over an
+  // independently built, never-fingerprinted copy, and the pinned golden.
+  const Golden& g = Goldens().front();
+  const Application app = BuildWorkload(g.app, TestScale());
+  const Application copy = BuildWorkload(g.app, TestScale());
+  EXPECT_EQ(FingerprintApplication(app).ToHex(), g.fingerprint);
+  const Fingerprint warm = FingerprintApplication(RepeatLaunches(app, 8));
+  const Fingerprint cold = FingerprintApplication(RepeatLaunches(copy, 8));
+  EXPECT_EQ(warm, cold);
+  EXPECT_EQ(warm.ToHex(), "59073a78322519c2fc3f9fe5e9912849");
 }
 
 TEST(TraceCompact, GoldenCyclesAtEveryLevelSerial) {
