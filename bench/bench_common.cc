@@ -381,10 +381,13 @@ void WriteRunsJson(const std::string& path, const std::string& bench,
     std::error_code ec;
     std::filesystem::create_directories(p.parent_path(), ec);
   }
+  // Described before the open truncates the file: a tracked output would
+  // otherwise always read "-dirty".
+  const std::string git = GitDescribe();
   FILE* f = std::fopen(path.c_str(), "w");
   SS_CHECK(f != nullptr, "cannot open --json path '" + path + "'");
   std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"git\": \"%s\",\n",
-               bench.c_str(), GitDescribe().c_str());
+               bench.c_str(), git.c_str());
   for (const auto& [name, value] : extra) {
     std::fprintf(f, "  \"%s\": %.6f,\n", name.c_str(), value);
   }
