@@ -82,11 +82,15 @@ void ExpectSameRun(const SimResult& a, const SimResult& b,
   }
 }
 
+// GoogleTest describes a parameter it cannot print by its object bytes,
+// and ctest discovery bakes that description into each test name. The
+// flags lead so the name starts with fixed bytes; a leading pointer put
+// an address-randomised byte into the names of the short-labelled cases.
 struct PlanCase {
-  const char* label;
-  FaultPlan plan;
   bool expect_delays = false;
   bool expect_drops = false;
+  const char* label;
+  FaultPlan plan;
 };
 
 std::vector<PlanCase> SurvivablePlans() {
